@@ -301,8 +301,7 @@ impl Drop for SuccQueryGuard<'_> {
     }
 }
 
-/// Allocation statistics of the four announcement-list cell registries, the
-/// named replacement for the deprecated `cell_alloc_stats()` 4-tuple.
+/// Allocation statistics of the four announcement-list cell registries.
 #[derive(Debug, Clone, Copy)]
 pub struct CellAllocStats {
     /// U-ALL cell registry.
@@ -2533,39 +2532,6 @@ impl LockFreeBinaryTrie {
         }
     }
 
-    /// Diagnostic counters: `(relaxed-⊥ occurrences, recovery-path runs)`
-    /// across all `predecessor` calls so far (experiment E5).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pred_traversal`, which returns named fields"
-    )]
-    pub fn traversal_stats(&self) -> (u64, u64) {
-        let t = self.pred_traversal();
-        (t.bottoms, t.recoveries)
-    }
-
-    /// The successor mirror of `traversal_stats`: `(relaxed-⊥ occurrences,
-    /// recovery-path runs)` across all `successor` calls so far.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `succ_traversal`, which returns named fields"
-    )]
-    pub fn succ_traversal_stats(&self) -> (u64, u64) {
-        let t = self.succ_traversal();
-        (t.bottoms, t.recoveries)
-    }
-
-    /// Number of live announcements `(U-ALL, RU-ALL, P-ALL, S-ALL)` — all
-    /// zero at quiescence (Figure 5 shape checks).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `announcements`, which returns named fields"
-    )]
-    pub fn announcement_lens(&self) -> (usize, usize, usize, usize) {
-        let a = self.announcements();
-        (a.uall, a.ruall, a.pall, a.sall)
-    }
-
     /// Total update nodes allocated over the trie's lifetime (the paper's
     /// GC-model E6 metric; includes the `2^b` dummies).
     pub fn allocated_nodes(&self) -> usize {
@@ -2623,17 +2589,6 @@ impl LockFreeBinaryTrie {
             pall: self.pall.cell_stats(),
             sall: self.sall.cell_stats(),
         }
-    }
-
-    /// Allocation statistics of the four auxiliary-list cell registries:
-    /// `(U-ALL, RU-ALL, P-ALL, S-ALL)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `cell_allocs`, which returns named fields"
-    )]
-    pub fn cell_alloc_stats(&self) -> (AllocStats, AllocStats, AllocStats, AllocStats) {
-        let c = self.cell_allocs();
-        (c.uall, c.ruall, c.pall, c.sall)
     }
 
     /// The unified observability read-out: the process-global counters and

@@ -48,6 +48,28 @@
 //! advance to `stamp + GRACE` until it unpins.
 //! `bag_flush_stamps_after_gate_probe` is the regression test.
 //!
+//! # Amortized gate probing
+//!
+//! Gate-closed garbage waits in `pending`, and for the trie that set is
+//! structurally Θ(u): one DEL node parked per occupied `dNodePtr` slot,
+//! plus DEL nodes held by live `target` edges. Probing all of it on every
+//! sweep would cost O(pending / `BAG_CAP`) probes per retire. A sweep
+//! started by [`Registry::collect`] therefore walks `pending` only once
+//! the nodes flushed into the shared stacks since the last walk reach the
+//! number that walk left there; other sweeps go straight to the epoch
+//! advance and the limbo walk. A walk visits the `kept` nodes the previous
+//! walk left plus at most the nodes flushed since, and it runs only after
+//! at least `kept` flushes, so it costs at most two probes per flushed
+//! node: probing is amortized O(1) per retire. Between walks `pending`
+//! grows only by flushed nodes, so it stays within about twice the gated
+//! set of the last walk (plus the in-flight bags). A gate that opens is
+//! noticed by plain `collect` calls within that many further retires;
+//! [`Registry::flush`] walks `pending` on every pass. The restamp argument
+//! above is untouched: `pending` never frees, and a node re-enters limbo
+//! only with a stamp read after its probe.
+//! `gate_probes_are_amortized_over_retires` and
+//! `opened_gate_is_reclaimed_by_plain_collects` are the regression tests.
+//!
 //! # Counters
 //!
 //! All counters are statistics (Relaxed orderings; nothing synchronizes
@@ -73,7 +95,7 @@
 use core::cell::{Cell, RefCell};
 use core::marker::PhantomData;
 use core::mem::{offset_of, ManuallyDrop};
-use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::collections::HashMap;
 
 use crossbeam::utils::CachePadded;
@@ -269,6 +291,46 @@ impl<T> GarbageStack<T> {
     }
 }
 
+/// An owner-exclusive chain of pool nodes built one node at a time and
+/// published to a [`GarbageStack`] with a single `push_span`, so a sweep or
+/// bag flush pays one CAS per destination instead of one per node.
+struct LocalChain<T> {
+    head: Cell<*mut PoolNode<T>>,
+    tail: Cell<*mut PoolNode<T>>,
+    len: Cell<usize>,
+}
+
+impl<T> LocalChain<T> {
+    const fn new() -> Self {
+        Self {
+            head: Cell::new(core::ptr::null_mut()),
+            tail: Cell::new(core::ptr::null_mut()),
+            len: Cell::new(0),
+        }
+    }
+
+    /// Prepends `node`, overwriting its link. The caller owns `node`
+    /// exclusively (it was detached from a taken chain or a bag).
+    fn push(&self, node: *mut PoolNode<T>) {
+        // SAFETY: `node` is a live pool node no other thread can reach
+        // (caller contract above), so its link is ours to write.
+        unsafe { (*node).next.set(self.head.get()) };
+        if self.head.get().is_null() {
+            self.tail.set(node);
+        }
+        self.head.set(node);
+        self.len.set(self.len.get() + 1);
+    }
+
+    /// Moves the whole chain onto `stack` with one CAS and empties `self`.
+    fn publish(&self, stack: &GarbageStack<T>) {
+        let head = self.head.replace(core::ptr::null_mut());
+        if !head.is_null() {
+            stack.push_span(head, self.tail.get(), self.len.replace(0));
+        }
+    }
+}
+
 /// One `(thread, registry)` pool: a free list of recycled nodes plus a
 /// retire bag, both owner-exclusive intrusive chains. Cache-padded so two
 /// threads' pools never share a line.
@@ -380,18 +442,24 @@ thread_local! {
 /// Source of never-reused registry ids (the thread-cache keys).
 static REGISTRY_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// Scope guard for [`Registry::collect`] drains: clears the `sweeping` flag
-/// and re-attaches the not-yet-examined remainder of a detached garbage
-/// chain on every exit path. Sweeps run user code ([`Reclaim`] hooks, node
-/// `Drop`s); without this guard a single panic in one of them would leave
-/// `sweeping` stuck `true` — silently disabling reclamation on the registry
-/// forever — and leak the rest of the detached chain.
+/// Scope guard for [`Registry::collect`] drains: clears the `sweeping` flag,
+/// re-attaches the not-yet-examined remainder of a detached garbage chain,
+/// and publishes the sweep's survivor chains on every exit path. Sweeps run
+/// user code ([`Reclaim`] hooks, node `Drop`s); without this guard a single
+/// panic in one of them would leave `sweeping` stuck `true` — silently
+/// disabling reclamation on the registry forever — and leak the rest of the
+/// detached chain and every survivor collected so far.
 struct SweepGuard<'a, T> {
     reg: &'a Registry<T>,
     /// Detached chain not yet examined by the current drain loop.
     rest: Cell<*mut PoolNode<T>>,
     /// Which stack `rest` was detached from (and is re-attached to).
     rest_is_limbo: Cell<bool>,
+    /// Examined nodes bound for limbo: restamped pending nodes, limbo
+    /// nodes still inside their grace period, hazard deferrals.
+    to_limbo: LocalChain<T>,
+    /// Examined nodes whose gate is closed.
+    to_pending: LocalChain<T>,
 }
 
 impl<T> Drop for SweepGuard<'_, T> {
@@ -405,6 +473,8 @@ impl<T> Drop for SweepGuard<'_, T> {
             };
             stack.push_chain(chain);
         }
+        self.to_limbo.publish(&self.reg.limbo);
+        self.to_pending.publish(&self.reg.pending);
         self.reg.sweeping.store(false, Ordering::SeqCst);
     }
 }
@@ -416,17 +486,17 @@ impl<T> Drop for SweepGuard<'_, T> {
 struct FlushGuard<'a, T> {
     reg: &'a Registry<T>,
     rest: Cell<*mut PoolNode<T>>,
-    ready: Cell<*mut PoolNode<T>>,
-    deferred: Cell<*mut PoolNode<T>>,
+    ready: LocalChain<T>,
+    deferred: LocalChain<T>,
 }
 
 impl<T> Drop for FlushGuard<'_, T> {
     fn drop(&mut self) {
-        for cell in [&self.rest, &self.ready, &self.deferred] {
-            self.reg
-                .pending
-                .push_chain(cell.replace(core::ptr::null_mut()));
-        }
+        self.reg
+            .pending
+            .push_chain(self.rest.replace(core::ptr::null_mut()));
+        self.ready.publish(&self.reg.pending);
+        self.deferred.publish(&self.reg.pending);
     }
 }
 
@@ -499,6 +569,13 @@ pub struct Registry<T> {
     /// on every bag flush instead).
     retired_since_sweep: AtomicUsize,
     sweeping: AtomicBool,
+    /// Nodes still to be flushed into the shared stacks before a sweep
+    /// walks `pending` again: each walk sets it to the number of nodes it
+    /// left there, every bag flush (and fallback-path retire) counts it
+    /// down, and the walk is due at ≤ 0. See "Amortized gate probing" in
+    /// the module docs. A scheduling hint, so Relaxed: nothing
+    /// synchronizes through it.
+    pending_walk_credit: AtomicIsize,
     /// Epoch observed at the end of the last full sweep (`u64::MAX` before
     /// the first). While the epoch is parked — e.g. a long-pinned reader —
     /// nothing new can become freeable, so sweeps bail out in O(1) instead
@@ -540,6 +617,7 @@ impl<T> Registry<T> {
             pools: AtomicPtr::new(core::ptr::null_mut()),
             retired_since_sweep: AtomicUsize::new(0),
             sweeping: AtomicBool::new(false),
+            pending_walk_credit: AtomicIsize::new(0),
             last_swept_epoch: AtomicU64::new(u64::MAX),
             _owns: PhantomData,
         }
@@ -776,6 +854,7 @@ impl<T> Registry<T> {
             } else {
                 self.pending.push(node);
             }
+            self.pending_walk_credit.fetch_sub(1, Ordering::Relaxed);
             if self.retired_since_sweep.fetch_add(1, Ordering::Relaxed) % BAG_CAP == BAG_CAP - 1 {
                 self.collect();
             }
@@ -822,12 +901,12 @@ impl<T> Registry<T> {
         }
         pool.bag_head.set(core::ptr::null_mut());
         pool.bag_tail.set(core::ptr::null_mut());
-        pool.bag_len.set(0);
+        let flushed = pool.bag_len.replace(0);
         let flush = FlushGuard {
             reg: self,
             rest: Cell::new(chain),
-            ready: Cell::new(core::ptr::null_mut()),
-            deferred: Cell::new(core::ptr::null_mut()),
+            ready: LocalChain::new(),
+            deferred: LocalChain::new(),
         };
         loop {
             let cur = flush.rest.get();
@@ -838,31 +917,24 @@ impl<T> Registry<T> {
             // so a panic leaves the node on the re-routed remainder.
             let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
             flush.rest.set(unsafe { (*cur).next.get() });
-            let dst = if ready { &flush.ready } else { &flush.deferred };
-            unsafe { (*cur).next.set(dst.get()) };
-            dst.set(cur);
+            if ready {
+                flush.ready.push(cur);
+            } else {
+                flush.deferred.push(cur);
+            }
         }
         // Fresh stamp *after* every gate probe above (see the module docs).
         let stamp = self.domain.epoch();
-        let ready = flush.ready.replace(core::ptr::null_mut());
-        let mut batch = 0u64;
-        if !ready.is_null() {
-            let mut n = 1usize;
-            let mut tail = ready;
-            loop {
-                unsafe { (*tail).epoch.set(stamp) };
-                let next = unsafe { (*tail).next.get() };
-                if next.is_null() {
-                    break;
-                }
-                tail = next;
-                n += 1;
-            }
-            self.limbo.push_span(ready, tail, n);
-            batch = n as u64;
+        let batch = flush.ready.len.get() as u64;
+        let mut cur = flush.ready.head.get();
+        while !cur.is_null() {
+            unsafe { (*cur).epoch.set(stamp) };
+            cur = unsafe { (*cur).next.get() };
         }
-        self.pending
-            .push_chain(flush.deferred.replace(core::ptr::null_mut()));
+        flush.ready.publish(&self.limbo);
+        flush.deferred.publish(&self.pending);
+        self.pending_walk_credit
+            .fetch_sub(flushed as isize, Ordering::Relaxed);
         // `flush` drops with empty cells: nothing to re-route.
         telemetry::add(Counter::BagFlushes, 1);
         // One flight event per flushed batch (not per retire: a per-retire
@@ -915,11 +987,21 @@ impl<T> Registry<T> {
     }
 
     /// One garbage sweep: flushes the caller's retire bag, steals released
-    /// pools, re-examines deferred nodes, tries to advance the epoch, and
-    /// recycles limbo nodes whose grace period elapsed and whose readiness
-    /// gate is (still) open. Lock-free; concurrent callers simply skip the
-    /// sweep.
+    /// pools, re-examines deferred nodes once enough garbage has arrived
+    /// since they were last examined (module docs, "Amortized gate
+    /// probing"), tries to advance the epoch, and recycles limbo nodes
+    /// whose grace period elapsed and whose readiness gate is (still) open.
+    /// Lock-free; concurrent callers simply skip the sweep.
     pub fn collect(&self)
+    where
+        T: Reclaim,
+    {
+        self.sweep(false);
+    }
+
+    /// [`Registry::collect`], walking `pending` regardless of its credit
+    /// when `walk_pending` is set.
+    fn sweep(&self, walk_pending: bool)
     where
         T: Reclaim,
     {
@@ -932,13 +1014,16 @@ impl<T> Registry<T> {
         telemetry::add(Counter::Sweeps, 1);
         let _t = telemetry::trace::phase(telemetry::trace::TracePhase::Reclaim);
         // Everything below runs user code (`Reclaim` hooks, node `Drop`s);
-        // the guard clears `sweeping` and re-attaches the unexamined chain
-        // remainder on every exit path, panics included. A panicking hook
-        // loses at most the one node it panicked on, never the sweeper.
+        // the guard clears `sweeping`, re-attaches the unexamined chain
+        // remainder and publishes the survivor chains on every exit path,
+        // panics included. A panicking hook loses at most the one node it
+        // panicked on, never the sweeper.
         let sweep = SweepGuard {
             reg: self,
             rest: Cell::new(core::ptr::null_mut()),
             rest_is_limbo: Cell::new(false),
+            to_limbo: LocalChain::new(),
+            to_pending: LocalChain::new(),
         };
         // Batch the buffered retires in before advancing, so this sweep
         // already ages them: the caller's own bag first, then the bags (and
@@ -968,38 +1053,48 @@ impl<T> Registry<T> {
         // contain that reader's set (see `Domain::hazard_view`).
         let hazards = self.domain.hazard_view();
         // Deferred nodes whose gate opened re-enter limbo. The pending set
-        // is drained on every sweep — its size is bounded by the gates
-        // themselves (≤ one DEL per occupied dNodePtr slot, live `target`
-        // edges, in-flight operations), not by the retire history, and a
-        // prompt restamp starts the grace clock as early as possible.
-        sweep.rest.set(self.pending.take_all());
-        loop {
-            let cur = sweep.rest.get();
-            if cur.is_null() {
-                break;
+        // is structurally large (one parked DEL per occupied dNodePtr slot,
+        // plus live `target` edges), so it is walked only once the nodes
+        // flushed since the last walk reach the depth that walk left
+        // behind, or when `flush` forces it.
+        if walk_pending || self.pending_walk_credit.load(Ordering::Relaxed) <= 0 {
+            // Flushes racing this walk count down from zero, so they still
+            // count toward the next one.
+            self.pending_walk_credit.store(0, Ordering::Relaxed);
+            sweep.rest.set(self.pending.take_all());
+            loop {
+                let cur = sweep.rest.get();
+                if cur.is_null() {
+                    break;
+                }
+                // Probe the gate before detaching the node, so a panicking
+                // hook leaves it on the re-attached chain instead of
+                // leaking it.
+                let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
+                sweep.rest.set(unsafe { (*cur).next.get() });
+                if ready {
+                    // Restamp with a fresh epoch read taken *after* the gate
+                    // opened. The sweeper holds no pin, so the global epoch
+                    // can run ahead of the `global` snapshot while this loop
+                    // runs: a reader pinned at epoch E may have captured the
+                    // gated pointer just before the gate opened, and
+                    // stamping with the stale snapshot (possibly ≤ E − 2)
+                    // would free the node while that reader still
+                    // dereferences it. The capture happened before the
+                    // gate-opening store this probe observed, so the
+                    // reader's pin precedes this read and the fresh stamp is
+                    // ≥ E — the reader now blocks the advance to
+                    // `stamp + GRACE` until it unpins. The stamp is also
+                    // ≥ `global`, so the limbo walk below could not free the
+                    // node yet: it skips that walk and joins the survivors.
+                    unsafe { (*cur).epoch.set(self.domain.epoch()) };
+                    sweep.to_limbo.push(cur);
+                } else {
+                    sweep.to_pending.push(cur);
+                }
             }
-            // Probe the gate before detaching the node, so a panicking hook
-            // leaves it on the re-attached chain instead of leaking it.
-            let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
-            sweep.rest.set(unsafe { (*cur).next.get() });
-            unsafe { (*cur).next.set(core::ptr::null_mut()) };
-            if ready {
-                // Restamp with a fresh epoch read taken *after* the gate
-                // opened. The sweeper holds no pin, so the global epoch can
-                // run ahead of the `global` snapshot while this loop runs: a
-                // reader pinned at epoch E may have captured the gated
-                // pointer just before the gate opened, and stamping with the
-                // stale snapshot (possibly ≤ E − 2) would free the node
-                // while that reader still dereferences it. The capture
-                // happened before the gate-opening store this probe
-                // observed, so the reader's pin precedes this read and the
-                // fresh stamp is ≥ E — the reader now blocks the advance to
-                // `stamp + GRACE` until it unpins.
-                unsafe { (*cur).epoch.set(self.domain.epoch()) };
-                self.limbo.push(cur);
-            } else {
-                self.pending.push(cur);
-            }
+            self.pending_walk_credit
+                .fetch_add(sweep.to_pending.len.get() as isize, Ordering::Relaxed);
         }
 
         // The limbo pile, by contrast, grows with every retire and nothing
@@ -1009,7 +1104,7 @@ impl<T> Registry<T> {
         // long-pinned reader from turning the writers' amortized sweeps
         // into quadratic work.
         if self.last_swept_epoch.load(Ordering::SeqCst) == global {
-            return; // `sweep` clears the flag
+            return; // `sweep` publishes the survivors and clears the flag
         }
 
         sweep.rest_is_limbo.set(true);
@@ -1024,7 +1119,6 @@ impl<T> Registry<T> {
             // (e.g. a `target` edge) while the node aged in limbo.
             let ready = unsafe { (*PoolNode::value_ptr(cur)).ready_to_reclaim() };
             sweep.rest.set(unsafe { (*cur).next.get() });
-            unsafe { (*cur).next.set(core::ptr::null_mut()) };
             if ready && unsafe { (*cur).epoch.get() } + GRACE_EPOCHS <= global {
                 // `global` is a snapshot from before the drains, so this
                 // comparison only under-approximates eligibility — safe.
@@ -1038,7 +1132,7 @@ impl<T> Registry<T> {
                     // the stamp — the hazard set, not the epoch, protects
                     // that reader now.
                     telemetry::add(Counter::HazardDeferrals, 1);
-                    self.limbo.push(cur);
+                    sweep.to_limbo.push(cur);
                     continue;
                 }
                 unsafe { (*vp).on_reclaim() };
@@ -1055,9 +1149,9 @@ impl<T> Registry<T> {
                 // the allocator — the whole point of the pools.
                 unsafe { self.recycle_node(cur, own_pool) };
             } else if ready {
-                self.limbo.push(cur);
+                sweep.to_limbo.push(cur);
             } else {
-                self.pending.push(cur);
+                sweep.to_pending.push(cur);
             }
         }
         self.last_swept_epoch.store(global, Ordering::SeqCst);
@@ -1065,15 +1159,17 @@ impl<T> Registry<T> {
     }
 
     /// Runs enough quiescent sweeps to age out everything retired so far
-    /// (assuming no concurrent pins). Tests and teardown paths use this to
-    /// observe the steady-state footprint.
+    /// (assuming no concurrent pins). Unlike plain [`Registry::collect`],
+    /// every pass re-examines the whole pending set, so a gate that opened
+    /// since the last sweep is seen at once. Tests and teardown paths use
+    /// this to observe the steady-state footprint.
     pub fn flush(&self)
     where
         T: Reclaim,
     {
         crate::fault::point(crate::fault::FaultPoint::RegistrySweep);
         for _ in 0..(2 * GRACE_EPOCHS as usize + 2) {
-            self.collect();
+            self.sweep(true);
         }
     }
 
@@ -1471,6 +1567,121 @@ mod tests {
         assert_eq!(reg.live(), 0);
     }
 
+    /// Probe and drop counts shared by a group of [`Probed`] nodes.
+    #[derive(Default)]
+    struct Tally {
+        probes: StdAtomicUsize,
+        drops: StdAtomicUsize,
+    }
+
+    /// A gate that reports its probes and its drop to a [`Tally`].
+    struct Probed {
+        open: Arc<AtomicBool>,
+        tally: Arc<Tally>,
+    }
+    impl Reclaim for Probed {
+        fn ready_to_reclaim(&self) -> bool {
+            self.tally.probes.fetch_add(1, StdOrdering::SeqCst);
+            self.open.load(Ordering::SeqCst)
+        }
+    }
+    impl Drop for Probed {
+        fn drop(&mut self) {
+            self.tally.drops.fetch_add(1, StdOrdering::SeqCst);
+        }
+    }
+
+    /// Allocates a [`Probed`] node behind `gate` and retires it through a
+    /// fresh pin of `handle`.
+    fn retire_probed(
+        reg: &Registry<Probed>,
+        handle: &epoch::Handle<'_>,
+        gate: &Arc<AtomicBool>,
+        tally: &Arc<Tally>,
+    ) {
+        let p = reg.alloc(Probed {
+            open: Arc::clone(gate),
+            tally: Arc::clone(tally),
+        });
+        let g = handle.pin();
+        unsafe { reg.retire(p, &g) };
+    }
+
+    #[test]
+    fn gate_probes_are_amortized_over_retires() {
+        // Gate-closed nodes parked in `pending` must not be re-probed by
+        // every amortized sweep: K further retires cost O(K + P) probes in
+        // total, not the P·K / BAG_CAP of a full pending walk per sweep.
+        const P: usize = 2048;
+        const K: usize = 8192;
+        let domain = leaked_domain();
+        let handle = domain.register();
+        let reg: Registry<Probed> = Registry::new_in(domain);
+        let closed = Arc::new(AtomicBool::new(false));
+        let open = Arc::new(AtomicBool::new(true));
+        let tally = Arc::new(Tally::default());
+        for _ in 0..P {
+            retire_probed(&reg, &handle, &closed, &tally);
+        }
+        reg.flush();
+        assert_eq!(reg.pending.depth(), P, "the gated nodes are parked");
+
+        tally.probes.store(0, StdOrdering::SeqCst);
+        for _ in 0..K {
+            retire_probed(&reg, &handle, &open, &tally);
+        }
+        let probes = tally.probes.load(StdOrdering::SeqCst);
+        assert!(
+            probes <= 8 * (K + P),
+            "{probes} gate probes for {K} retires over {P} parked nodes"
+        );
+
+        closed.store(true, Ordering::SeqCst);
+        reg.flush();
+        assert_eq!(reg.live(), 0);
+    }
+
+    #[test]
+    fn opened_gate_is_reclaimed_by_plain_collects() {
+        // Amortizing the pending walk must not drop it: a parked node whose
+        // gate opens during continued churn is reclaimed by the sweeps that
+        // retires trigger on their own, with no `flush`, within a bounded
+        // number of retires. A quiescent flush still drains everything.
+        const P: usize = 256;
+        let domain = leaked_domain();
+        let handle = domain.register();
+        let reg: Registry<Probed> = Registry::new_in(domain);
+        let closed = Arc::new(AtomicBool::new(false));
+        let late = Arc::new(AtomicBool::new(false));
+        let open = Arc::new(AtomicBool::new(true));
+        let tally = Arc::new(Tally::default());
+        let watched = Arc::new(Tally::default());
+        for _ in 0..P {
+            retire_probed(&reg, &handle, &closed, &tally);
+        }
+        retire_probed(&reg, &handle, &late, &watched);
+        reg.flush();
+        assert_eq!(reg.pending.depth(), P + 1, "every gated node is parked");
+
+        late.store(true, Ordering::SeqCst);
+        let bound = 2 * (P + 1) + 8 * BAG_CAP;
+        let mut retires = 0;
+        while watched.drops.load(StdOrdering::SeqCst) == 0 && retires < bound {
+            retire_probed(&reg, &handle, &open, &tally);
+            retires += 1;
+        }
+        assert_eq!(
+            watched.drops.load(StdOrdering::SeqCst),
+            1,
+            "the opened node is still parked after {retires} retires"
+        );
+        assert_eq!(tally.drops.load(StdOrdering::SeqCst) + 1, reg.reclaimed());
+
+        closed.store(true, Ordering::SeqCst);
+        reg.flush();
+        assert_eq!(reg.live(), 0, "a quiescent flush drains everything");
+    }
+
     /// A gated node whose `ready_to_reclaim`, on its first open-gate call,
     /// simulates the race from the restamp soundness argument: the global
     /// epoch advances (other threads' amortized `try_advance`) and a reader
@@ -1579,6 +1790,57 @@ mod tests {
         // panicking, everything still ages out.
         reg.flush();
         assert_eq!(reg.reclaimed(), 3);
+        assert_eq!(reg.live(), 0);
+    }
+
+    /// Panics on the probe that takes a shared countdown from 1 to 0.
+    struct PanicOnProbe {
+        countdown: Arc<StdAtomicUsize>,
+    }
+    impl Reclaim for PanicOnProbe {
+        fn ready_to_reclaim(&self) -> bool {
+            let left = self.countdown.load(StdOrdering::SeqCst);
+            if left > 0 {
+                self.countdown.store(left - 1, StdOrdering::SeqCst);
+                assert_ne!(left, 1, "reclaim hook panicked");
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn panicking_limbo_probe_keeps_the_sweep_survivors() {
+        // Sweeps collect the nodes they keep into local chains and publish
+        // them at the end; a hook panicking mid-walk must still publish the
+        // survivors examined before it, not leak them.
+        let domain = leaked_domain();
+        let handle = domain.register();
+        let reader = domain.register();
+        let reg: Registry<PanicOnProbe> = Registry::new_in(domain);
+        let countdown = Arc::new(StdAtomicUsize::new(0));
+        let g = handle.pin();
+        for _ in 0..3 {
+            let p = reg.alloc(PanicOnProbe {
+                countdown: Arc::clone(&countdown),
+            });
+            unsafe { reg.retire(p, &g) };
+        }
+        drop(g);
+        // A pinned reader keeps all three inside their grace period.
+        let mut reader_guard = reader.pin();
+        reg.collect();
+        assert_eq!(reg.limbo.depth(), 3);
+        // The reader catches up so the epoch can move and the next sweep
+        // walks limbo: the first probe keeps its node, the second panics.
+        drop(reader_guard);
+        reader_guard = reader.pin();
+        countdown.store(2, StdOrdering::SeqCst);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.collect()));
+        assert!(result.is_err(), "the hook panic must propagate");
+        assert_eq!(reg.limbo.depth(), 3, "survivor or remainder lost");
+        assert_eq!(reg.live(), 3);
+        drop(reader_guard);
+        reg.flush();
         assert_eq!(reg.live(), 0);
     }
 
