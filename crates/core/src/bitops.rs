@@ -1,6 +1,7 @@
 //! The wait-free trie-update and traversal algorithms shared by both tries:
 //! `InterpretedBit`, `InsertBinaryTrie`, `DeleteBinaryTrie` and
-//! `RelaxedPredecessor` (paper §4.4, lines 22–90).
+//! `RelaxedPredecessor` (paper §4.4, lines 22–90), the latter generic over
+//! the query direction so the same walk also answers successor queries.
 //!
 //! Comments carry the paper's pseudocode line numbers. The routines are
 //! generic over `LatestAccess`, which is how §5 swaps in the latest-list
@@ -13,12 +14,12 @@
 //! preserves the paper's wait-free `O(log u)` worst-case bounds (each step is
 //! a constant number of shared accesses, and there are at most `b` steps).
 
-use lftrie_primitives::NO_PRED;
 use lftrie_telemetry::{self as telemetry, Counter};
 
 use crate::access::{LatestAccess, TrieCore};
 use crate::layout::{Layout, NodeIndex};
 use crate::node::{Kind, UpdateNode};
+use crate::query::Dir;
 
 /// Counts the trie levels a traversal visits and, on drop, records the
 /// total into the per-direction touch counter and the shared
@@ -279,129 +280,77 @@ pub(crate) fn delete_binary_trie<A: LatestAccess>(
     }
 }
 
-/// `RelaxedSuccessor(y)` — the mirror image of `RelaxedPredecessor`
-/// (extension; the paper notes predecessor only, successor is symmetric:
-/// swap left/right and take the left-most 1-path).
+/// `RelaxedPredecessor(y)` (lines 73–90) for `D = Down`; for `D = Up` the
+/// same walk with left and right swapped, `RelaxedSuccessor(y)`.
 ///
-/// Returns `Some(key)` for a certified successor, `Some(NO_PRED)` when no
-/// greater key is present, `None` for ⊥.
-pub(crate) fn relaxed_successor<A: LatestAccess>(core: &TrieCore, acc: &A, y: i64) -> Option<i64> {
-    let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::SuccTouches);
-    let mut t = layout.leaf(y as u64);
-    loop {
-        tally.touch();
-        // Climb while t is a right child or its (right) sibling reads 0.
-        if layout.is_left_child(t) && interpreted_bit(core, acc, layout.sibling(t)) {
-            break;
-        }
-        t = layout.parent(t);
-        if t == Layout::ROOT {
-            return Some(NO_PRED);
-        }
-    }
-    // Descend the left-most 1-path from t.parent.right.
-    let mut t = layout.sibling(t);
-    while layout.height(t) > 0 {
-        tally.touch();
-        if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t);
-        } else if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t);
-        } else {
-            return None;
-        }
-    }
-    Some(layout.leaf_key(t) as i64)
-}
-
-/// `RelaxedPredecessor(y)` (lines 73–90).
-///
-/// Returns `Some(key)` for a certified predecessor, `Some(NO_PRED)` (−1) when
-/// no smaller key is present, and `None` for the paper's `⊥` (a concurrent
+/// Returns `Some(key)` for a certified answer, `Some(D::NONE)` when no key
+/// lies on `D`'s side of `y`, and `None` for the paper's `⊥` (a concurrent
 /// update prevented the traversal).
-pub(crate) fn relaxed_predecessor<A: LatestAccess>(
+pub(crate) fn relaxed_query<D: Dir, A: LatestAccess>(
     core: &TrieCore,
     acc: &A,
     y: i64,
 ) -> Option<i64> {
     let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::PredTouches);
+    let mut tally = TraversalTally::new(D::TOUCHES);
     let mut t = layout.leaf(y as u64); // L74
     loop {
         tally.touch();
-        // L75: climb while t is a left child or its (left) sibling reads 0.
-        if !layout.is_left_child(t) && interpreted_bit(core, acc, layout.sibling(t)) {
+        // L75: climb while t is the child nearer `y` (a left child, for
+        // predecessor) or its sibling reads 0.
+        if layout.is_left_child(t) != D::DOWN && interpreted_bit(core, acc, layout.sibling(t)) {
             break;
         }
         t = layout.parent(t); // L76
         if t == Layout::ROOT {
-            return Some(NO_PRED); // L77–78
+            return Some(D::NONE); // L77–78
         }
     }
-    // L80: descend the right-most 1-path from t.parent.left.
-    let mut t = layout.sibling(t);
+    descend::<D, A>(core, acc, layout.sibling(t), &mut tally) // L80
+}
+
+/// The root descent behind `max()` (`D = Down`, `RelaxedPredecessor(u)`)
+/// and `min()` (`D = Up`, `RelaxedSuccessor(−1)`): for a query key outside
+/// the universe the climb is vacuous and the answer subtree is the whole
+/// trie.
+///
+/// Returns `Some(key)` for a certified extremum, `None` for ⊥. Unlike the
+/// in-universe traversal, the root descent starts *uncertified*: an
+/// all-zero read of the root's children cannot distinguish an empty set
+/// from a delete concurrently clearing the last key's path, so it is
+/// reported as ⊥ and the caller's recovery decides — which certifies
+/// emptiness exactly when no delete is announced, since a delete clears
+/// interpreted bits only while announced (lines 196/202).
+pub(crate) fn relaxed_extremum<D: Dir, A: LatestAccess>(core: &TrieCore, acc: &A) -> Option<i64> {
+    let mut tally = TraversalTally::new(D::TOUCHES);
+    descend::<D, A>(core, acc, Layout::ROOT, &mut tally)
+}
+
+/// Lines 81–90: descends from `t` along the 1-path nearest the query
+/// (right-most for predecessor), or returns ⊥ where both children read 0.
+#[inline]
+fn descend<D: Dir, A: LatestAccess>(
+    core: &TrieCore,
+    acc: &A,
+    mut t: NodeIndex,
+    tally: &mut TraversalTally,
+) -> Option<i64> {
+    let layout = core.layout();
     while layout.height(t) > 0 {
         // L81
         tally.touch();
-        if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t); // L82–83
-        } else if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t); // L84–85
+        let (near, far) = if D::DOWN {
+            (layout.right(t), layout.left(t))
+        } else {
+            (layout.left(t), layout.right(t))
+        };
+        if interpreted_bit(core, acc, near) {
+            t = near; // L82–83
+        } else if interpreted_bit(core, acc, far) {
+            t = far; // L84–85
         } else {
             return None; // L86–88: both children read 0 — ⊥
         }
     }
     Some(layout.leaf_key(t) as i64) // L89–90
-}
-
-/// `RelaxedSuccessor(−1)`: the minimum, by descending the left-most 1-path
-/// from the root (the climb of `RelaxedPredecessor`/`RelaxedSuccessor` is
-/// vacuous for a query key below the universe — the answer subtree is the
-/// whole trie).
-///
-/// Returns `Some(key)` for a certified minimum, `None` for ⊥. Unlike the
-/// in-universe traversals, the root descent starts *uncertified*: an
-/// all-zero read of the root's children cannot distinguish an empty set
-/// from a delete concurrently clearing the last key's path, so it is
-/// reported as ⊥ and the caller's recovery decides — which certifies
-/// emptiness exactly when no delete is announced (the `d_pub.is_empty()`
-/// arm of `succ_compute`), since a delete clears interpreted bits only
-/// while announced (lines 196/202).
-pub(crate) fn relaxed_min<A: LatestAccess>(core: &TrieCore, acc: &A) -> Option<i64> {
-    let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::SuccTouches);
-    let mut t = Layout::ROOT;
-    while layout.height(t) > 0 {
-        tally.touch();
-        if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t);
-        } else if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t);
-        } else {
-            return None;
-        }
-    }
-    Some(layout.leaf_key(t) as i64)
-}
-
-/// `RelaxedPredecessor(u)`: the maximum, by descending the right-most
-/// 1-path from the root — the mirror of [`relaxed_min`], with the same
-/// ⊥-for-all-zero convention (the caller's recovery certifies emptiness
-/// via the `d_ruall.is_empty()` arm of `pred_helper`).
-pub(crate) fn relaxed_max<A: LatestAccess>(core: &TrieCore, acc: &A) -> Option<i64> {
-    let layout = core.layout();
-    let mut tally = TraversalTally::new(Counter::PredTouches);
-    let mut t = Layout::ROOT;
-    while layout.height(t) > 0 {
-        tally.touch();
-        if interpreted_bit(core, acc, layout.right(t)) {
-            t = layout.right(t);
-        } else if interpreted_bit(core, acc, layout.left(t)) {
-            t = layout.left(t);
-        } else {
-            return None;
-        }
-    }
-    Some(layout.leaf_key(t) as i64)
 }

@@ -13,8 +13,15 @@
 //! * [`RelaxedBinaryTrie`] (§4) — wait-free; its `RelaxedPredecessor` may
 //!   report [`RelaxedPred::Interference`] under concurrent updates.
 //! * [`LockFreeBinaryTrie`] (§5) — linearizable; wraps the relaxed trie with
-//!   announcement lists (U-ALL, RU-ALL, P-ALL) and per-predecessor notify
-//!   lists so `predecessor` always returns an exact answer.
+//!   announcement lists (U-ALL, RU-ALL, P-ALL) and per-query notify lists
+//!   so `predecessor` always returns an exact answer.
+//!
+//! Beyond the paper, the same machinery answers `successor`, `min`, `max`,
+//! ordered range scans and counts. Predecessor and successor are one query
+//! engine, generic over a zero-sized direction (`Down` = predecessor, `Up`
+//! = successor) that supplies the key order, the "no answer" sentinel and
+//! which announcement lists are walked with a published cursor; successor
+//! queries announce in an S-ALL alongside the paper's P-ALL.
 //!
 //! # Examples
 //!
@@ -38,6 +45,7 @@ mod access;
 #[cfg(test)]
 mod figures;
 mod node;
+mod query;
 
 pub mod bitops;
 pub mod layout;

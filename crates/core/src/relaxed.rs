@@ -16,8 +16,9 @@
 use crate::access::{LatestAccess, TrieCore};
 use crate::bitops;
 use crate::node::{Kind, Status, UpdateNode};
+use crate::query::{Down, Up};
 use lftrie_primitives::epoch;
-use lftrie_primitives::{Key, NO_PRED};
+use lftrie_primitives::{Key, NO_PRED, NO_SUCC};
 use lftrie_telemetry::{self as telemetry, Counter, TelemetrySnapshot};
 
 /// Result of [`RelaxedBinaryTrie::predecessor`] (specification §4.1).
@@ -290,7 +291,7 @@ impl RelaxedBinaryTrie {
         let y = self.check_key(y);
         telemetry::add(Counter::PredecessorOps, 1);
         let _guard = epoch::pin();
-        match bitops::relaxed_predecessor(&self.core, self, y) {
+        match bitops::relaxed_query::<Down, _>(&self.core, self, y) {
             None => RelaxedPred::Interference,
             Some(NO_PRED) => RelaxedPred::NoneSmaller,
             Some(k) => RelaxedPred::Found(k as Key),
@@ -302,7 +303,8 @@ impl RelaxedBinaryTrie {
     /// case, wait-free.
     ///
     /// This is an *extension*: the paper defines predecessor only; the
-    /// successor traversal is its left/right mirror. The same relaxation
+    /// successor traversal is the same walk with left and right swapped
+    /// (one implementation, generic over the direction). The same relaxation
     /// applies — [`RelaxedPred::Interference`] only under concurrent
     /// updates with keys strictly between `y` and the answer.
     ///
@@ -313,9 +315,9 @@ impl RelaxedBinaryTrie {
         let y = self.check_key(y);
         telemetry::add(Counter::SuccessorOps, 1);
         let _guard = epoch::pin();
-        match bitops::relaxed_successor(&self.core, self, y) {
+        match bitops::relaxed_query::<Up, _>(&self.core, self, y) {
             None => RelaxedSucc::Interference,
-            Some(NO_PRED) => RelaxedSucc::NoneGreater,
+            Some(NO_SUCC) => RelaxedSucc::NoneGreater,
             Some(k) => RelaxedSucc::Found(k as Key),
         }
     }

@@ -136,13 +136,20 @@ fn fail(round: u64, trie: &LockFreeBinaryTrie, repro: &Repro, msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Installs the process-global fault plan described by the environment and
-/// returns whether the chaos lane is armed.
+/// The fault plan every chaos-lane worker arms with (`()` without the
+/// `fault-injection` feature, where the lane cannot run).
 #[cfg(feature = "fault-injection")]
-fn install_fault_plan(repro: &Repro) -> bool {
+type Plan = Arc<lftrie_core::fault::FaultPlan>;
+#[cfg(not(feature = "fault-injection"))]
+type Plan = ();
+
+/// The fault plan described by the environment, or `None` when the chaos
+/// lane is off.
+#[cfg(feature = "fault-injection")]
+fn fault_plan(repro: &Repro) -> Option<Plan> {
     use lftrie_core::fault::{self, FaultAction, FaultPlan};
     let actions: &[FaultAction] = match repro.faults.as_str() {
-        "" => return false,
+        "" => return None,
         "panic" => &[FaultAction::Yield, FaultAction::Stall, FaultAction::Panic],
         "abandon" => &[FaultAction::Yield, FaultAction::Stall, FaultAction::Abandon],
         "mixed" => &[
@@ -156,24 +163,23 @@ fn install_fault_plan(repro: &Repro) -> bool {
             std::process::exit(2);
         }
     };
-    fault::install(
+    fault::silence_injected_panics();
+    Some(Arc::new(
         FaultPlan::seeded(repro.seed)
             .with_rate(repro.fault_rate)
             .with_actions(actions),
-    );
-    fault::silence_injected_panics();
-    true
+    ))
 }
 
 #[cfg(not(feature = "fault-injection"))]
-fn install_fault_plan(repro: &Repro) -> bool {
+fn fault_plan(repro: &Repro) -> Option<Plan> {
     if !repro.faults.is_empty() {
         eprintln!(
             "warning: LFTRIE_TORTURE_FAULTS needs --features fault-injection; \
              running without the chaos lane"
         );
     }
-    false
+    None
 }
 
 /// One worker operation against the trie; panics injected mid-operation
@@ -257,10 +263,11 @@ fn worker_loop_faulty(
     rng: &mut StdRng,
     universe: u64,
     stop: &AtomicBool,
+    plan: Plan,
     salt: u64,
 ) -> u64 {
     use lftrie_core::fault;
-    fault::arm(salt);
+    fault::arm(plan, salt);
     let mut n = 0u64;
     while !stop.load(Ordering::Relaxed) {
         match std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
@@ -345,7 +352,8 @@ fn main() {
         faults: std::env::var("LFTRIE_TORTURE_FAULTS").unwrap_or_default(),
         fault_rate: env_u64("LFTRIE_TORTURE_FAULT_RATE", 24) as u32,
     };
-    let faulty = install_fault_plan(&repro);
+    let plan = fault_plan(&repro);
+    let faulty = plan.is_some();
 
     println!(
         "torture: {seconds}s, {threads} threads, universe 2^{log2_u}, \
@@ -379,22 +387,20 @@ fn main() {
                 let total_ops = Arc::clone(&total_ops);
                 let round_ops = Arc::clone(&round_ops);
                 let base_seed = repro.seed;
+                #[cfg(feature = "fault-injection")]
+                let plan = plan.clone();
                 std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(base_seed ^ round ^ ((t as u64) << 32));
                     let salt = (round << 8) ^ t as u64;
-                    let n = if faulty {
+                    let n = match plan {
                         #[cfg(feature = "fault-injection")]
-                        {
-                            worker_loop_faulty(&trie, &mut rng, universe, &stop, salt)
+                        Some(plan) => {
+                            worker_loop_faulty(&trie, &mut rng, universe, &stop, plan, salt)
                         }
-                        #[cfg(not(feature = "fault-injection"))]
-                        {
+                        _ => {
                             let _ = salt;
-                            unreachable!("chaos lane armed without the feature")
+                            worker_loop_plain(&trie, &mut rng, universe, &stop)
                         }
-                    } else {
-                        let _ = salt;
-                        worker_loop_plain(&trie, &mut rng, universe, &stop)
                     };
                     total_ops.fetch_add(n, Ordering::Relaxed);
                     round_ops.fetch_add(n, Ordering::Relaxed);

@@ -11,12 +11,11 @@ use std::time::{Duration, Instant};
 
 use lftrie_baselines::ConcurrentOrderedSet;
 use lftrie_primitives::steps;
-use serde::Serialize;
 
 use crate::workload::{apply, KeyDist, OpMix, OpStream};
 
 /// Configuration of one measured run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Worker count.
     pub threads: usize,
@@ -36,7 +35,7 @@ pub struct RunConfig {
 }
 
 /// Result of one measured run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunResult {
     /// Total operations applied.
     pub total_ops: u64,

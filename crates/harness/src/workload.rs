@@ -8,7 +8,6 @@ use lftrie_baselines::ConcurrentOrderedSet;
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// One abstract set operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +42,7 @@ pub enum Op {
 }
 
 /// Percentages of each operation type (must sum to 100).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpMix {
     /// % of `Insert`.
     pub insert: u32,
@@ -199,7 +198,7 @@ impl OpMix {
 }
 
 /// Key-popularity distribution of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyDist {
     /// Every key equally likely.
     Uniform,

@@ -21,9 +21,8 @@
 //!
 //! Without the `fault-injection` feature, [`point`] and
 //! [`point_nonfatal`] compile to literal no-ops and none of the plan
-//! machinery exists. With the feature but no installed plan (or on a
-//! thread that never called `arm`), a point is a single thread-local
-//! read.
+//! machinery exists. With the feature, on a thread that never called
+//! `arm`, a point is a single thread-local read.
 //!
 //! # Determinism and scoping
 //!
@@ -31,9 +30,10 @@
 //! counter, thread salt)` — no wall clock, no global RNG — so a plan
 //! replays exactly on a single thread and replays modulo contention-
 //! dependent control flow across threads. Points fire **only on armed
-//! threads** (`arm` snapshots the installed plan into thread-local
-//! state), so a global plan cannot leak faults into unrelated test
-//! threads, and **never while the thread is already panicking** (a panic
+//! threads**, each with the plan it was armed with (`arm` stores it in
+//! thread-local state; there is no process-global plan), so one test's
+//! plan can never reach the threads of a test running in parallel, and
+//! **never while the thread is already panicking** (a panic
 //! during unwinding would abort the process) or inside a
 //! [`suppress`]ed section (the unwind-guard continuations and the orphan
 //! adoption sweep re-run protocol steps that contain points).
@@ -267,8 +267,8 @@ pub fn orphan_adoption_enabled() -> bool {
 #[cfg(feature = "fault-injection")]
 pub use imp::{
     arm, clear_log, disarm, fired_total, format_log, recent, set_orphan_adoption_enabled,
-    set_unwind_guards_enabled, silence_injected_panics, suppress, take_abandoned, uninstall,
-    FaultRecord, InjectedFault, SuppressGuard,
+    set_unwind_guards_enabled, silence_injected_panics, suppress, take_abandoned, FaultRecord,
+    InjectedFault, SuppressGuard,
 };
 
 /// Token returned by [`suppress`]; a unit placeholder without the
@@ -285,9 +285,6 @@ pub struct SuppressGuard(());
 pub fn suppress() -> SuppressGuard {
     SuppressGuard(())
 }
-
-#[cfg(feature = "fault-injection")]
-pub use imp::install;
 
 #[cfg(feature = "fault-injection")]
 pub use plan::FaultPlan;
@@ -437,7 +434,6 @@ mod imp {
     pub(super) static UNWIND_GUARDS: AtomicBool = AtomicBool::new(true);
     pub(super) static ORPHAN_ADOPTION: AtomicBool = AtomicBool::new(true);
     static FIRED_TOTAL: AtomicU64 = AtomicU64::new(0);
-    static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
     static LOG: Mutex<VecDeque<FaultRecord>> = Mutex::new(VecDeque::new());
     const LOG_CAP: usize = 512;
 
@@ -466,28 +462,15 @@ mod imp {
         }
     }
 
-    /// Installs `plan` as the process-global plan. Threads pick it up at
-    /// their next [`arm`] call (arming snapshots the plan, so a running
-    /// armed thread keeps its old snapshot).
-    pub fn install(plan: FaultPlan) {
-        *lock(&PLAN) = Some(Arc::new(plan));
-    }
-
-    /// Removes the global plan (armed threads keep their snapshots until
-    /// they re-arm or disarm).
-    pub fn uninstall() {
-        *lock(&PLAN) = None;
-    }
-
-    /// Arms the current thread: snapshots the installed plan, records the
-    /// thread `salt` (part of every firing decision — give workers their
-    /// index for cross-run reproducibility), and resets the per-thread
-    /// occurrence counters.
-    pub fn arm(salt: u64) {
-        let plan = lock(&PLAN).clone();
+    /// Arms the current thread with `plan`: records the thread `salt` (part
+    /// of every firing decision — give workers their index for cross-run
+    /// reproducibility) and resets the per-thread occurrence counters.
+    /// Threads that share a plan share its one-shot state, so a
+    /// [`FaultPlan::once`] plan fires once across all of them.
+    pub fn arm(plan: Arc<FaultPlan>, salt: u64) {
         STATE.with(|s| {
             let mut s = s.borrow_mut();
-            s.plan = plan;
+            s.plan = Some(plan);
             s.salt = salt;
             s.occurrences = [0; POINT_COUNT];
         });
@@ -649,20 +632,37 @@ mod imp {
 #[cfg(all(test, feature = "fault-injection"))]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn unarmed_threads_never_fire() {
-        install(FaultPlan::seeded(42).with_rate(1024));
-        point(FaultPoint::EpochPin); // would panic or stall if armed
-        uninstall();
+        // A plan armed on one thread must not fire on another, even while
+        // it stays armed: plans are per-thread.
+        let barrier = Arc::new(Barrier::new(2));
+        let armed = std::thread::spawn({
+            let barrier = Arc::clone(&barrier);
+            move || {
+                let plan = FaultPlan::seeded(42)
+                    .with_rate(1024)
+                    .with_actions(&[FaultAction::Panic]);
+                arm(Arc::new(plan), 0);
+                barrier.wait();
+                barrier.wait();
+                disarm();
+            }
+        });
+        barrier.wait();
+        point(FaultPoint::EpochPin); // would panic if this thread were armed
+        barrier.wait();
+        armed.join().unwrap();
     }
 
     #[test]
     fn once_plan_fires_exactly_once_and_is_caught() {
         std::thread::spawn(|| {
             silence_injected_panics();
-            install(FaultPlan::once(FaultPoint::InsertEntry, FaultAction::Panic));
-            arm(7);
+            let plan = FaultPlan::once(FaultPoint::InsertEntry, FaultAction::Panic);
+            arm(Arc::new(plan), 7);
             let r = std::panic::catch_unwind(|| point(FaultPoint::InsertEntry));
             let err = r.expect_err("first occurrence fires");
             let f = err
@@ -672,7 +672,6 @@ mod tests {
             point(FaultPoint::InsertEntry); // consumed: must not fire again
             assert!(!take_abandoned());
             disarm();
-            uninstall();
         })
         .join()
         .unwrap();
@@ -683,18 +682,14 @@ mod tests {
         std::thread::spawn(|| {
             silence_injected_panics();
             let before = crate::liveness::current_owner();
-            install(FaultPlan::once(
-                FaultPoint::DeleteEntry,
-                FaultAction::Abandon,
-            ));
-            arm(1);
+            let plan = FaultPlan::once(FaultPoint::DeleteEntry, FaultAction::Abandon);
+            arm(Arc::new(plan), 1);
             let r = std::panic::catch_unwind(|| point(FaultPoint::DeleteEntry));
             assert!(r.is_err());
             assert!(take_abandoned(), "abandon sets the thread flag");
             assert!(!crate::liveness::is_live(before), "old incarnation died");
             assert_ne!(crate::liveness::current_owner(), before);
             disarm();
-            uninstall();
         })
         .join()
         .unwrap();
@@ -703,14 +698,10 @@ mod tests {
     #[test]
     fn nonfatal_points_demote_to_stall() {
         std::thread::spawn(|| {
-            install(FaultPlan::once(
-                FaultPoint::RegistryCollect,
-                FaultAction::Panic,
-            ));
-            arm(0);
+            let plan = FaultPlan::once(FaultPoint::RegistryCollect, FaultAction::Panic);
+            arm(Arc::new(plan), 0);
             point_nonfatal(FaultPoint::RegistryCollect); // must not unwind
             disarm();
-            uninstall();
         })
         .join()
         .unwrap();

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use lftrie::core::fault::{self, FaultAction, FaultPlan, FaultPoint, InjectedFault};
@@ -121,8 +121,10 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
     assert!(batch_new.iter().all(|k| !model.contains(k)));
     assert!(batch_old.iter().all(|k| model.contains(k)));
 
-    fault::install(FaultPlan::once(point, action));
-    fault::arm((point as u64) << 8 | op as u64);
+    fault::arm(
+        Arc::new(FaultPlan::once(point, action)),
+        (point as u64) << 8 | op as u64,
+    );
     let outcome = catch_unwind(AssertUnwindSafe(|| match op {
         Op::InsertNew => {
             assert!(trie.insert(k_new), "{ctx}: insert of absent key");
@@ -177,7 +179,6 @@ fn scenario(point: FaultPoint, action: FaultAction, op: Op) {
         }
     }));
     fault::disarm();
-    fault::uninstall();
 
     let crashed = match outcome {
         Ok(()) => {

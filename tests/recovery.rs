@@ -186,8 +186,45 @@ fn range_scans_cross_stale_subtrees_exactly() {
         trie.insert(k);
     }
     trie.remove_stalled_before_trie_update(20);
+    let before = trie.succ_traversal().recoveries;
     assert_eq!(trie.range(0..=63), vec![3, 24, 40]);
+    // The scan's first step (from 0) finds 3 on a clean path; the step
+    // from 3 is a slide, and it is the one that descends into 20's stale
+    // subtree — so the era-filtered recovery of a slid step must have run.
+    assert!(
+        trie.succ_traversal().recoveries > before,
+        "the slid step across the stale subtree must run the recovery"
+    );
     assert_eq!(trie.range(20..=24), vec![24]);
+}
+
+#[test]
+fn min_and_max_recover_through_a_stalled_extremum() {
+    // The root descents behind `max()` (query key u) and `min()` (query
+    // key −1) go through the ⊥-recovery too: stall the delete of the
+    // current maximum (minimum) before it clears its path, and the root
+    // descent bottoms out in the stale subtree with the DEL node announced.
+    let trie = LockFreeBinaryTrie::new(32);
+    trie.insert(5);
+    trie.insert(9);
+    assert!(trie.remove_stalled_before_trie_update(9));
+    let before = trie.pred_traversal().recoveries;
+    assert_eq!(trie.max(), Some(5), "max falls back to the next key");
+    assert!(
+        trie.pred_traversal().recoveries > before,
+        "max() through the stale maximum must run the recovery"
+    );
+
+    let trie = LockFreeBinaryTrie::new(32);
+    trie.insert(5);
+    trie.insert(9);
+    assert!(trie.remove_stalled_before_trie_update(5));
+    let before = trie.succ_traversal().recoveries;
+    assert_eq!(trie.min(), Some(9), "min falls back to the next key");
+    assert!(
+        trie.succ_traversal().recoveries > before,
+        "min() through the stale minimum must run the recovery"
+    );
 }
 
 #[test]
